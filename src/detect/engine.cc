@@ -448,16 +448,6 @@ IncrementalDiff ViolationEngine::DetectIncremental(
 }
 
 IncrementalDiff ViolationEngine::DetectIncrementalOwned(
-    const GraphView& view, std::span<const uint32_t> node_owner,
-    uint32_t fragment, const IncrementalOptions& opts) const {
-  std::vector<NodeId> owned;
-  for (NodeId v : view.AffectedNodes()) {
-    if (node_owner[v] == fragment) owned.push_back(v);
-  }
-  return AnchoredDiff(view, owned, view.AffectedNodes(), opts);
-}
-
-IncrementalDiff ViolationEngine::DetectIncrementalOwned(
     const GraphView& view, std::span<const NodeId> seeds,
     std::span<const NodeId> affected, const IncrementalOptions& opts) const {
   return AnchoredDiff(view, seeds, affected, opts);

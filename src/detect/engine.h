@@ -178,31 +178,16 @@ class ViolationEngine {
   IncrementalDiff DetectIncremental(const GraphView& view,
                                     const IncrementalOptions& opts = {}) const;
 
-  /// Fragment-scoped incremental detection -- the distributed serving
-  /// path's work unit (serve/coordinator.h). Identical to
-  /// DetectIncremental except that anchored enumeration is seeded only
-  /// from the affected nodes `fragment` owns under `node_owner`
-  /// (vertex-cut ownership as in DetectSharded), while the attribution
-  /// rule still sees the full affected set: a match whose
-  /// minimum-variable affected node belongs to another fragment is
-  /// skipped here and evaluated exactly once there. Ownership partitions
-  /// the affected nodes, so the union of these diffs over all fragments
-  /// equals DetectIncremental's -- disjointly, which is what lets a
-  /// coordinator merge per-fragment diffs without any cross-fragment
-  /// dedup pass. Precondition: node_owner.size() >= view.NumNodes().
-  IncrementalDiff DetectIncrementalOwned(
-      const GraphView& view, std::span<const uint32_t> node_owner,
-      uint32_t fragment, const IncrementalOptions& opts = {}) const;
-
-  /// Explicit-seed variant for partitioned storage (serve/coordinator.h):
-  /// the fragment's view contains halo-maintenance ops whose endpoints
-  /// must anchor nothing (they reflect residency changes, not graph
-  /// changes), so the caller passes both the anchor seeds (the globally
-  /// affected nodes this fragment owns) and the full GLOBAL affected set
-  /// for the attribution rule -- using the view's own AffectedNodes()
-  /// would mis-attribute matches that touch a maintenance endpoint.
-  /// Preconditions: seeds ⊆ affected, both sorted ascending, node ids
-  /// < view.NumNodes().
+  /// Fragment-scoped incremental detection, the coordinator's work unit:
+  /// DetectIncremental with enumeration seeded only from `seeds` (the
+  /// globally affected nodes one fragment owns) while attribution sees
+  /// the GLOBAL `affected` set, so a match attributed to another
+  /// fragment is evaluated there, exactly once. The union over all
+  /// fragments is DetectIncremental's diff, disjointly -- merged without
+  /// dedup. Both sets come from the caller because a fragment's view
+  /// also holds halo-maintenance ops, whose endpoints must anchor
+  /// nothing. Preconditions: seeds ⊆ affected, both sorted ascending,
+  /// node ids < view.NumNodes().
   IncrementalDiff DetectIncrementalOwned(
       const GraphView& view, std::span<const NodeId> seeds,
       std::span<const NodeId> affected,

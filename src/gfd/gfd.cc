@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "graph/graph_view.h"
 #include "pattern/canonical.h"
 
 namespace gfd {
@@ -12,7 +13,8 @@ Gfd::Gfd(Pattern q, std::vector<Literal> x, Literal l)
   NormalizeLhs(lhs);
 }
 
-std::string Gfd::ToString(const PropertyGraph& g) const {
+template <typename GraphT>
+std::string Gfd::ToString(const GraphT& g) const {
   std::ostringstream os;
   os << pattern.ToString(g) << " : ";
   if (lhs.empty()) {
@@ -28,6 +30,8 @@ std::string Gfd::ToString(const PropertyGraph& g) const {
   os << " -> " << rhs.ToString(g);
   return os.str();
 }
+template std::string Gfd::ToString(const PropertyGraph&) const;
+template std::string Gfd::ToString(const GraphView&) const;
 
 Literal MapLiteral(const Literal& l, const std::vector<VarId>& f) {
   switch (l.kind) {

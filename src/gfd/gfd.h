@@ -29,7 +29,9 @@ struct Gfd {
 
   size_t NumVars() const { return pattern.NumNodes(); }
 
-  std::string ToString(const PropertyGraph& g) const;
+  /// Names resolve through `g`: a PropertyGraph or a GraphView.
+  template <typename GraphT>
+  std::string ToString(const GraphT& g) const;
 
   friend bool operator==(const Gfd&, const Gfd&) = default;
 };

@@ -61,8 +61,9 @@ struct Literal {
   friend auto operator<=>(const Literal&, const Literal&) = default;
 
   /// Renders e.g. "x0.type='producer'" or "x1.name=x2.name", resolving
-  /// attribute/value names through `g`.
-  std::string ToString(const PropertyGraph& g) const {
+  /// attribute/value names through `g` (a PropertyGraph or GraphView).
+  template <typename GraphT>
+  std::string ToString(const GraphT& g) const {
     if (kind == LiteralKind::kFalse) return "false";
     std::string s = "x" + std::to_string(x) + "." + g.AttrName(a);
     if (kind == LiteralKind::kVarConst) {

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "graph/graph_view.h"
 #include "util/tsv.h"
 
 namespace gfd {
@@ -15,7 +16,8 @@ void SetError(std::string* error, const std::string& msg) {
   if (error) *error = msg;
 }
 
-std::string LitToText(const Literal& l, const PropertyGraph& g) {
+template <typename GraphT>
+std::string LitToText(const Literal& l, const GraphT& g) {
   switch (l.kind) {
     case LiteralKind::kFalse:
       return "false";
@@ -70,7 +72,8 @@ std::optional<Literal> ParseLit(std::string_view s, const PropertyGraph& g) {
 
 }  // namespace
 
-std::string SerializeGfd(const Gfd& phi, const PropertyGraph& g) {
+template <typename GraphT>
+std::string SerializeGfd(const Gfd& phi, const GraphT& g) {
   std::ostringstream os;
   os << "nodes=";
   for (VarId v = 0; v < phi.pattern.NumNodes(); ++v) {
@@ -92,6 +95,8 @@ std::string SerializeGfd(const Gfd& phi, const PropertyGraph& g) {
   os << ";rhs=" << LitToText(phi.rhs, g);
   return os.str();
 }
+template std::string SerializeGfd(const Gfd&, const PropertyGraph&);
+template std::string SerializeGfd(const Gfd&, const GraphView&);
 
 std::optional<Gfd> ParseGfd(std::string_view line, const PropertyGraph& g,
                             std::string* error) {

@@ -24,8 +24,10 @@
 
 namespace gfd {
 
-/// Renders phi against g's vocabulary (labels/attrs/values by name).
-std::string SerializeGfd(const Gfd& phi, const PropertyGraph& g);
+/// Renders phi against g's vocabulary (labels/attrs/values by name);
+/// `g` is a PropertyGraph or a GraphView.
+template <typename GraphT>
+std::string SerializeGfd(const Gfd& phi, const GraphT& g);
 
 /// Parses one serialized GFD. Vocabulary is resolved against `g`; unknown
 /// labels/attributes/values fail the parse (rules reference things the

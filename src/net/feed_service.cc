@@ -4,16 +4,13 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <sstream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "gfd/serialize.h"
 #include "net/metrics.h"
 #include "obs/metrics.h"
 #include "serve/metrics.h"
-#include "util/hash.h"
-#include "util/timer.h"
 #include "util/tsv.h"
 
 namespace gfd::net {
@@ -113,55 +110,14 @@ std::optional<std::string> RenderEvent(const FeedEvent& ev,
 
 }  // namespace
 
-FeedService::FeedService(ServingStore& store, const ViolationEngine& engine,
-                         ViolationChangefeed& feed, FeedServiceOptions opts)
-    : store_(store),
-      engine_(engine),
-      feed_(feed),
+FeedService::FeedService(ServingSession& session, FeedServiceOptions opts)
+    : session_(session),
+      feed_(*session.feed()),
       opts_(std::move(opts)),
       limiter_({.rate_per_sec = opts_.ingest_rate_per_sec,
-                .burst = opts_.ingest_burst}),
-      planner_(opts_.planner) {}
-
-uint64_t FeedService::Prime(bool* scanned) {
-  std::lock_guard lock(store_mu_);
+                .burst = opts_.ingest_burst}) {
   TouchServeMetrics();
   TouchNetMetrics();
-  PropertyGraph g = store_.MaterializeCurrent();
-  std::ostringstream os;
-  SaveGfds(engine_.rules(), g, os);
-  fingerprint_ = Fnv1a64(os.str());
-  if (auto persisted = store_.violation_count(fingerprint_)) {
-    count_ = *persisted;
-    if (scanned) *scanned = false;
-  } else {
-    GraphDelta no_delta;
-    auto view = GraphView::Apply(g, no_delta);
-    DetectOptions full;
-    full.workers = opts_.detect_workers;
-    WallTimer watch;
-    count_ = engine_.Detect(*view, full).violations.size();
-    // The seeding scan is a free full-path cost sample: feed it to the
-    // planner so the adaptive mode calibrates after the FIRST served
-    // batch instead of needing one of each path.
-    planner_.ObserveFull(
-        MakePlannerInputs(*view, 0, "", engine_.NumGroups(),
-                          engine_.NumAnchorPlans()),
-        watch.Seconds());
-    std::string err;
-    if (!store_.SetViolationCount(count_, fingerprint_, &err)) {
-      std::fprintf(stderr, "warning: could not persist counter: %s\n",
-                   err.c_str());
-    }
-    if (scanned) *scanned = true;
-  }
-  primed_ = true;
-  return count_;
-}
-
-uint64_t FeedService::violation_count() const {
-  std::lock_guard lock(store_mu_);
-  return count_;
 }
 
 void FeedService::Handle(const HttpRequest& req, ResponseWriter& w) {
@@ -211,58 +167,34 @@ void FeedService::Ingest(const HttpRequest& req, ResponseWriter& w) {
   }
 
   std::lock_guard lock(store_mu_);
-  if (!primed_) {
+  if (!session_.primed()) {
     w.Respond(Plain(503, "server not primed\n"));
     return;
   }
-  IncrementalOptions iopts;
-  iopts.workers = opts_.detect_workers;
-  iopts.planner = &planner_;
-  std::string error;
-  uint64_t seq = 0;
-  auto diff = store_.AppendAndDiff(engine_, req.body, iopts, &seq, &error);
-  if (!diff) {
-    // Validation failure: the batch never reached the log.
-    w.Respond(Json(422, "{\"error\":\"" + JsonEscape(error) + "\"}\n"));
+  ServedBatch b = session_.Serve(req.body);
+  if (b.status != ServeStatus::kServed) {
+    // Nothing reached the log: 422 for a batch that failed validation,
+    // 503 while the feed is out of step with the store.
+    const int code = b.status == ServeStatus::kInvalidBatch ? 422 : 503;
+    w.Respond(Json(code, "{\"error\":\"" + JsonEscape(b.error) + "\"}\n"));
     return;
   }
-  if (diff->used_full_path) {
-    // The full run is authoritative: RE-SEED the running count rather
-    // than composing, so a count computed on the wrong path can never
-    // persist through store.meta.
-    count_ = diff->full_post_count;
-  } else {
-    count_ += diff->added.size();
-    count_ -= diff->removed.size();
+  // Failures after the commit: the batch is durable and counted anyway.
+  const std::pair<const char*, const std::string&> failures[] = {
+      {"could not persist counter", b.count_error},
+      {"feed publish failed", b.publish_error},
+      {"compaction failed", b.compact_error}};
+  for (const auto& [what, error] : failures) {
+    if (!error.empty()) {
+      std::fprintf(stderr, "warning: %s: %s\n", what, error.c_str());
+    }
   }
-  groups_scanned_ += diff->stats.groups_scanned;
-  groups_skipped_ += diff->stats.groups_skipped;
-  if (!store_.SetViolationCount(count_, fingerprint_, &error)) {
-    std::fprintf(stderr, "warning: could not persist counter: %s\n",
-                 error.c_str());
-  }
-
-  // Serialize-at-publish: descriptions resolve against the post-batch
-  // state, so feed replay never needs historical graph state.
-  PropertyGraph after = store_.MaterializeCurrent();
-  GraphDelta no_delta;
-  auto after_view = GraphView::Apply(after, no_delta);
-  std::string payload = SerializeDiffPayload(*after_view, engine_.rules(),
-                                             *diff);
-  if (!feed_.Publish(seq, std::move(payload), &error)) {
-    std::fprintf(stderr, "warning: feed publish failed: %s\n", error.c_str());
-  }
-  if (!store_.MaybeCompact(&error)) {
-    std::fprintf(stderr, "warning: compaction failed: %s\n", error.c_str());
-  }
-
-  DeltaVerdict verdict = ClassifyDelta(*diff, count_);
   w.Respond(Json(
-      200, "{\"seq\":" + std::to_string(seq) +
-               ",\"added\":" + std::to_string(diff->added.size()) +
-               ",\"removed\":" + std::to_string(diff->removed.size()) +
-               ",\"violations\":" + std::to_string(count_) +
-               ",\"verdict\":\"" + VerdictName(verdict) + "\"}\n"));
+      200, "{\"seq\":" + std::to_string(b.seq) +
+               ",\"added\":" + std::to_string(b.diff.added.size()) +
+               ",\"removed\":" + std::to_string(b.diff.removed.size()) +
+               ",\"violations\":" + std::to_string(b.count) +
+               ",\"verdict\":\"" + VerdictName(b.verdict) + "\"}\n"));
 }
 
 void FeedService::Feed(const HttpRequest& req, ResponseWriter& w) {
@@ -365,7 +297,7 @@ void FeedService::Feed(const HttpRequest& req, ResponseWriter& w) {
 void FeedService::Metrics(ResponseWriter& w) {
   {
     std::lock_guard lock(store_mu_);
-    ExportSnapshotMetrics(store_.MetricsSnapshot());
+    ExportSnapshotMetrics(session_.store().MetricsSnapshot());
   }
   HttpResponse resp;
   resp.content_type = "text/plain; version=0.0.4";
@@ -381,11 +313,11 @@ void FeedService::Status(ResponseWriter& w) {
   uint64_t skipped;
   {
     std::lock_guard lock(store_mu_);
-    snap = store_.MetricsSnapshot();
-    count = count_;
-    pstats = planner_.stats();
-    scanned = groups_scanned_;
-    skipped = groups_skipped_;
+    snap = session_.store().MetricsSnapshot();
+    count = session_.violation_count();
+    pstats = session_.planner_stats();
+    scanned = session_.groups_scanned();
+    skipped = session_.groups_skipped();
   }
   std::string body =
       "{\"seq\":" + std::to_string(snap.last_seq) +

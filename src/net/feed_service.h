@@ -1,11 +1,12 @@
 // The HTTP surface of the violation changefeed server: routes the four
-// endpoints of `gfdtool serve run` onto one ServingStore plus one
-// ViolationChangefeed.
+// endpoints of `gfdtool serve run` onto one ServingSession (the serving
+// loop, serve/serving_session.h) and its ViolationChangefeed.
 //
-//   POST /ingest   one TSV delta batch -> AppendAndDiff -> publish the
-//                  diff to the feed; responds with seq + diff summary.
-//                  Validation failures are 4xx and nothing reaches the
-//                  log. Per-client token-bucket rate limiting (429).
+//   POST /ingest   one TSV delta batch -> ServingSession::Serve; responds
+//                  with seq + diff summary. Validation failures are 422
+//                  and nothing reaches the log; a feed out of step with
+//                  the store is 503. Per-client token-bucket rate
+//                  limiting (429).
 //   GET  /feed     SSE stream of per-batch violation diffs. ?cursor=<seq>
 //                  replays every durable record after <seq> before going
 //                  live; ?rule= / ?label= / ?pivot= filter; ?max_events=
@@ -13,11 +14,12 @@
 //   GET  /metrics  live Prometheus text (obs registry + store snapshot).
 //   GET  /status   JSON summary: seq, backend, fragments, counters.
 //
-// Concurrency: ServingStore is not thread-safe, so every store touch --
-// ingest, and the snapshot reads of /status and /metrics -- serializes
-// through one mutex; that same mutex makes this process the single
-// writer and keeps feed publishes in batch order. Feed subscribers never
-// take it: they read the durable feed log and their own bounded queues.
+// Concurrency: the session and its ServingStore are not thread-safe, so
+// every touch -- ingest, and the snapshot reads of /status and /metrics
+// -- serializes through one mutex; that same mutex makes this process
+// the single writer and keeps feed publishes in batch order. Feed
+// subscribers never take it: they read the durable feed log and their
+// own bounded queues.
 #ifndef GFD_NET_FEED_SERVICE_H_
 #define GFD_NET_FEED_SERVICE_H_
 
@@ -25,18 +27,14 @@
 #include <mutex>
 #include <string>
 
-#include "detect/engine.h"
-#include "detect/planner.h"
 #include "net/http_server.h"
 #include "net/rate_limiter.h"
 #include "serve/changefeed.h"
-#include "serve/serving_store.h"
+#include "serve/serving_session.h"
 
 namespace gfd::net {
 
 struct FeedServiceOptions {
-  /// Worker threads handed to detection (AppendAndDiff, seeding scan).
-  size_t detect_workers = 1;
   /// Live-queue bound per subscriber; a publish that overflows it
   /// evicts the subscriber (slow-consumer disconnect).
   size_t subscriber_queue_cap = 256;
@@ -48,27 +46,17 @@ struct FeedServiceOptions {
   double ingest_burst = 8;
   /// Reported by /status ("single" | "distributed").
   std::string backend = "single";
-  /// Per-batch incremental-vs-full path choice (adaptive by default;
-  /// kForceIncremental restores the pre-planner behavior).
-  PlannerConfig planner;
 };
 
 class FeedService {
  public:
-  /// Does not take ownership; `store`, `engine`, and `feed` must outlive
-  /// the service (and the HttpServer dispatching into it).
-  FeedService(ServingStore& store, const ViolationEngine& engine,
-              ViolationChangefeed& feed, FeedServiceOptions opts);
-
-  /// Seeds the running violation counter: the persisted count when
-  /// current, else one full startup scan (`*scanned` reports which).
-  /// Must be called once before serving.
-  uint64_t Prime(bool* scanned = nullptr);
+  /// Does not take ownership; `session` -- which must have a feed -- must
+  /// outlive the service (and the HttpServer dispatching into it). Until
+  /// the session is primed, /ingest answers 503.
+  FeedService(ServingSession& session, FeedServiceOptions opts);
 
   /// The HttpHandler: dispatches one request to its endpoint.
   void Handle(const HttpRequest& req, ResponseWriter& w);
-
-  uint64_t violation_count() const;
 
  private:
   void Ingest(const HttpRequest& req, ResponseWriter& w);
@@ -76,26 +64,15 @@ class FeedService {
   void Metrics(ResponseWriter& w);
   void Status(ResponseWriter& w);
 
-  ServingStore& store_;
-  const ViolationEngine& engine_;
+  ServingSession& session_;
   ViolationChangefeed& feed_;
   FeedServiceOptions opts_;
   TokenBucketLimiter limiter_;
 
-  /// Single-writer enforcement. guards: every ServingStore call on
-  /// store_, plus fingerprint_, count_, primed_, planner_,
-  /// groups_scanned_, groups_skipped_. Publish happens inside it so feed
-  /// order == batch order.
+  /// Single-writer enforcement. guards: every call on session_ and its
+  /// ServingStore. Publish happens inside it so feed order == batch
+  /// order.
   mutable std::mutex store_mu_;
-  uint64_t fingerprint_ = 0;
-  uint64_t count_ = 0;
-  bool primed_ = false;
-  /// Per-batch path chooser (one decision per /ingest, under store_mu_,
-  /// which is the planner's required serialization).
-  DetectPlanner planner_;
-  /// Running footprint-gate totals across batches, for /status.
-  uint64_t groups_scanned_ = 0;
-  uint64_t groups_skipped_ = 0;
 };
 
 }  // namespace gfd::net

@@ -4,6 +4,8 @@
 #include <deque>
 #include <sstream>
 
+#include "graph/graph_view.h"
+
 namespace gfd {
 
 namespace {
@@ -60,7 +62,8 @@ std::vector<VarId> Pattern::Neighbors(VarId v) const {
   return out;
 }
 
-std::string Pattern::ToString(const PropertyGraph& g) const {
+template <typename GraphT>
+std::string Pattern::ToString(const GraphT& g) const {
   std::ostringstream os;
   os << "Q[";
   for (VarId v = 0; v < NumNodes(); ++v) {
@@ -77,6 +80,8 @@ std::string Pattern::ToString(const PropertyGraph& g) const {
   os << " | pivot=x" << pivot_ << ']';
   return os.str();
 }
+template std::string Pattern::ToString(const PropertyGraph&) const;
+template std::string Pattern::ToString(const GraphView&) const;
 
 Pattern SingleNodePattern(LabelId label) {
   Pattern p;

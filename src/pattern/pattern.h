@@ -71,9 +71,11 @@ class Pattern {
   /// Variables adjacent (in either direction) to `v`.
   std::vector<VarId> Neighbors(VarId v) const;
 
-  /// Human-readable rendering, resolving label names via `g`'s interner.
+  /// Human-readable rendering, resolving label names via `g` (a
+  /// PropertyGraph, or a GraphView for overlay-introduced labels).
   /// Example: "Q[x0:person, x1:product | x0 -create-> x1 | pivot=x0]".
-  std::string ToString(const PropertyGraph& g) const;
+  template <typename GraphT>
+  std::string ToString(const GraphT& g) const;
 
   friend bool operator==(const Pattern&, const Pattern&) = default;
 

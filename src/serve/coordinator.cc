@@ -587,7 +587,7 @@ bool Coordinator::CatchUp(uint64_t global_seq, uint64_t master_anchor,
 
   if (anchors_differ ||
       fragments_.front().stats().anchor_seq != master_anchor) {
-    if (!CompactAll(error)) return false;
+    if (!Compact(error)) return false;
   }
   return true;
 }
@@ -869,7 +869,7 @@ std::optional<uint64_t> Coordinator::Rebalance(NodeId node,
   // Mandatory lockstep compaction: the next batch's before-side
   // enumeration runs on fragment BASES, which must reflect the new
   // residency (including the halo around the migrated node).
-  if (!CompactAll(error)) {
+  if (!Compact(error)) {
     rebalance_timer.Discard();
     return std::nullopt;
   }
@@ -883,7 +883,7 @@ bool Coordinator::ShouldCompact() const {
   return false;
 }
 
-bool Coordinator::CompactAll(std::string* error) {
+bool Coordinator::Compact(std::string* error) {
   if (!CheckNotDegraded(error)) return false;
   const uint64_t seq = stats_.last_seq;
 
@@ -930,8 +930,8 @@ bool Coordinator::CompactAll(std::string* error) {
   return WriteMeta(error);
 }
 
-bool Coordinator::MaybeCompactAll(std::string* error) {
-  return ShouldCompact() ? CompactAll(error) : true;
+bool Coordinator::MaybeCompact(std::string* error) {
+  return ShouldCompact() ? Compact(error) : true;
 }
 
 std::optional<uint64_t> Coordinator::violation_count(
@@ -944,10 +944,6 @@ bool Coordinator::SetViolationCount(uint64_t count, uint64_t fingerprint,
   count_.Set(count, stats_.last_seq, fingerprint);
   ViolationsRunning().Set(static_cast<double>(count));
   return WriteMeta(error);
-}
-
-PropertyGraph Coordinator::MaterializeCurrent() const {
-  return index_->view().Materialize();
 }
 
 ServingMetricsSnapshot Coordinator::MetricsSnapshot() const {

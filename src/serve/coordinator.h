@@ -53,7 +53,7 @@
 //
 // Sequence-ordering invariant. Every fragment applies every global
 // sequence number (possibly as an empty or maintenance-only sub-batch),
-// and compaction runs in LOCKSTEP (CompactAll), never per-fragment: the
+// and compaction runs in LOCKSTEP (Compact), never per-fragment: the
 // per-batch diff is composed from two base-relative incremental runs
 // (ComposeStepDiff), and diffs taken against different snapshots do not
 // compose. Open() restores the invariant after any crash: a fragment
@@ -99,7 +99,7 @@ namespace gfd {
 
 struct CoordinatorOptions {
   /// Per-fragment store options. The compaction thresholds feed
-  /// ShouldCompact/MaybeCompactAll; fragments never compact unilaterally.
+  /// ShouldCompact/MaybeCompact; fragments never compact unilaterally.
   GraphStoreOptions store;
 };
 
@@ -161,6 +161,9 @@ class Coordinator final : public ServingStore {
   uint64_t resident_edges(size_t f) const { return index_->ResidentEdges(f); }
   const GraphStore& fragment(size_t f) const { return fragments_[f]; }
   uint64_t last_seq() const override { return stats_.last_seq; }
+  /// The master's global view (by the storage invariant, the union of
+  /// fragment states).
+  const GraphView& view() const override { return index_->view(); }
   const std::string& dir() const { return dir_; }
 
   /// Session stats with the cluster's communication counters folded in.
@@ -199,23 +202,14 @@ class Coordinator final : public ServingStore {
   /// True when any fragment's compaction policy fires.
   bool ShouldCompact() const override;
 
-  /// Lockstep compaction: writes the global snapshot, rolls EVERY
-  /// fragment's snapshot to the current global sequence (keeping the
-  /// anchors equal -- the precondition of diff composition), and
-  /// re-anchors the routing journal.
-  bool CompactAll(std::string* error = nullptr);
+  /// Lockstep compaction -- the only kind a coordinator has: writes the
+  /// global snapshot, rolls EVERY fragment's snapshot to the current
+  /// global sequence (keeping the anchors equal -- the precondition of
+  /// diff composition), and re-anchors the routing journal.
+  bool Compact(std::string* error = nullptr) override;
 
-  /// Policy entry point: CompactAll() iff ShouldCompact().
-  bool MaybeCompactAll(std::string* error = nullptr);
-
-  /// ServingStore conformance: lockstep compaction is the only kind a
-  /// coordinator has.
-  bool Compact(std::string* error = nullptr) override {
-    return CompactAll(error);
-  }
-  bool MaybeCompact(std::string* error = nullptr) override {
-    return MaybeCompactAll(error);
-  }
+  /// Policy entry point: Compact() iff ShouldCompact().
+  bool MaybeCompact(std::string* error = nullptr) override;
 
   /// Running violation count across the whole graph, maintained by the
   /// serving loop and persisted in coordinator.meta -- same contract as
@@ -224,10 +218,6 @@ class Coordinator final : public ServingStore {
       uint64_t fingerprint) const override;
   bool SetViolationCount(uint64_t count, uint64_t fingerprint,
                          std::string* error = nullptr) override;
-
-  /// The current global graph, materialized from the master's view (by
-  /// the storage invariant, equal to the union of fragment states).
-  PropertyGraph MaterializeCurrent() const override;
 
   /// Unified telemetry snapshot: coordinator stats plus per-fragment
   /// recovery/overlay state folded into the shared shape (overlay_ops

@@ -297,31 +297,6 @@ std::optional<uint64_t> GraphStore::Append(std::string_view delta_tsv,
   return seq;
 }
 
-bool GraphStore::Validate(std::string_view delta_tsv,
-                          std::string* error) const {
-  std::istringstream in{std::string(delta_tsv)};
-  std::string parse_error;
-  auto d = LoadGraphDeltaTsv(in, *base_, &parse_error);
-  if (!d) {
-    SetError(error, parse_error);
-    return false;
-  }
-  // Dry-run against the live view: carry only the overlay's extension
-  // vocabulary (so the batch's ids resolve in the view's id space) and
-  // validate the batch as an appended tail -- O(batch), no overlay copy.
-  GraphDelta candidate;
-  candidate.extra_labels = overlay_.extra_labels;
-  candidate.extra_attrs = overlay_.extra_attrs;
-  candidate.extra_values = overlay_.extra_values;
-  candidate.Append(*base_, *d);
-  std::string apply_error;
-  if (!view_->ValidateAppended(candidate, 0, &apply_error)) {
-    SetError(error, apply_error);
-    return false;
-  }
-  return true;
-}
-
 std::optional<uint64_t> GraphStore::violation_count(
     uint64_t fingerprint) const {
   return count_.Get(stats_.last_seq, fingerprint);
@@ -414,16 +389,6 @@ bool GraphStore::MaybeCompact(std::string* error) {
   return ShouldCompact() ? Compact(error) : true;
 }
 
-PropertyGraph GraphStore::MaterializeCurrent() const {
-  return view_->Materialize();
-}
-
-std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
-    const ViolationEngine& engine, std::string_view delta_tsv,
-    const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
-  return gfd::AppendAndDiff(*this, engine, delta_tsv, opts, seq_out, error);
-}
-
 ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   ServingMetricsSnapshot snap;
   snap.anchor_seq = stats_.anchor_seq;
@@ -437,12 +402,9 @@ ServingMetricsSnapshot GraphStore::MetricsSnapshot() const {
   return snap;
 }
 
-std::optional<IncrementalDiff> AppendAndDiff(GraphStore& store,
-                                             const ViolationEngine& engine,
-                                             std::string_view delta_tsv,
-                                             const IncrementalOptions& opts,
-                                             uint64_t* seq_out,
-                                             std::string* error) {
+std::optional<IncrementalDiff> GraphStore::AppendAndDiff(
+    const ViolationEngine& engine, std::string_view delta_tsv,
+    const IncrementalOptions& opts, uint64_t* seq_out, std::string* error) {
   // Path choice happens BEFORE the append, from pre-append estimates, so
   // the chosen path's before-side still sees the pre-batch state. The
   // inputs come from the one shared MakePlannerInputs, which is what
@@ -451,9 +413,8 @@ std::optional<IncrementalDiff> AppendAndDiff(GraphStore& store,
   PlannerInputs pin;
   DetectPath path = DetectPath::kIncremental;
   if (opts.planner) {
-    pin = MakePlannerInputs(store.view(), store.overlay().ops.size(),
-                            delta_tsv, engine.NumGroups(),
-                            engine.NumAnchorPlans());
+    pin = MakePlannerInputs(view(), overlay_.ops.size(), delta_tsv,
+                            engine.NumGroups(), engine.NumAnchorPlans());
     path = opts.planner->Plan(pin);
   }
 
@@ -466,14 +427,14 @@ std::optional<IncrementalDiff> AppendAndDiff(GraphStore& store,
     DetectOptions full;
     full.workers = opts.workers;
     full.match = opts.match;
-    DetectionResult before = engine.Detect(store.view(), full);
-    auto seq = store.Append(delta_tsv, error);
+    DetectionResult before = engine.Detect(view(), full);
+    auto seq = Append(delta_tsv, error);
     if (!seq) {
       detect_timer.Discard();
       return std::nullopt;
     }
     if (seq_out) *seq_out = *seq;
-    DetectionResult after = engine.Detect(store.view(), full);
+    DetectionResult after = engine.Detect(view(), full);
     detect_timer.AddField("seq", *seq);
     detect_timer.StopNs();
     IncrementalDiff diff = FullStepDiff(before, after);
@@ -485,14 +446,14 @@ std::optional<IncrementalDiff> AppendAndDiff(GraphStore& store,
   // base is identical across them and the diffs compose.
   WallTimer watch;
   obs::ScopedTimer detect_timer(nullptr, "detect");
-  IncrementalDiff before = engine.DetectIncremental(store.view(), opts);
-  auto seq = store.Append(delta_tsv, error);
+  IncrementalDiff before = engine.DetectIncremental(view(), opts);
+  auto seq = Append(delta_tsv, error);
   if (!seq) {
     detect_timer.Discard();
     return std::nullopt;
   }
   if (seq_out) *seq_out = *seq;
-  IncrementalDiff after = engine.DetectIncremental(store.view(), opts);
+  IncrementalDiff after = engine.DetectIncremental(view(), opts);
   detect_timer.AddField("seq", *seq);
   detect_timer.StopNs();
   obs::ScopedTimer merge_timer(nullptr, "merge", {{"seq", *seq}});

@@ -99,14 +99,11 @@ class GraphStore final : public ServingStore {
                                         std::string* error = nullptr);
 
   const PropertyGraph& base() const { return *base_; }
-  const GraphView& view() const { return *view_; }
+  const GraphView& view() const override { return *view_; }
   const GraphDelta& overlay() const { return overlay_; }
   const GraphStoreStats& stats() const { return stats_; }
   const std::string& dir() const { return dir_; }
   uint64_t last_seq() const override { return stats_.last_seq; }
-  /// The store's log (read access; the coordinator's catch-up path ships
-  /// a lagging peer the records it is missing straight out of here).
-  const DeltaLog& log() const { return *log_; }
 
   /// Parses `delta_tsv` (the E+/E-/A format of graph/loader.h) against
   /// the store's vocabulary, validates it on the current view, appends it
@@ -126,12 +123,6 @@ class GraphStore final : public ServingStore {
   /// application share one code path.
   std::optional<uint64_t> Append(const GraphDelta& batch,
                                  std::string* error = nullptr);
-
-  /// Parses and validates `delta_tsv` against the current view without
-  /// logging or applying anything -- the dry-run a coordinator performs
-  /// once before broadcasting a batch to every replica, so an invalid
-  /// batch is rejected before any fragment's log sees it.
-  bool Validate(std::string_view delta_tsv, std::string* error = nullptr) const;
 
   /// Running violation count as of last_seq(), maintained by the serving
   /// loop (count += |added| - |removed| per batch, seeded by one full
@@ -160,12 +151,11 @@ class GraphStore final : public ServingStore {
   /// Policy entry point: Compact() iff ShouldCompact().
   bool MaybeCompact(std::string* error = nullptr) override;
 
-  /// The current graph as a standalone PropertyGraph (ids preserved).
-  PropertyGraph MaterializeCurrent() const override;
-
-  /// ServingStore conformance: forwards to the free AppendAndDiff below
-  /// (one serving step -- append plus the step diff of exactly this
-  /// batch).
+  /// One serving step: appends `delta_tsv` and returns the violation
+  /// diff of exactly this batch, without materializing: the before- and
+  /// after-overlay are diffed against the shared base and the two diffs
+  /// composed (ComposeStepDiff). Cost grows with the overlay, which is
+  /// what the compaction policy bounds.
   std::optional<IncrementalDiff> AppendAndDiff(
       const ViolationEngine& engine, std::string_view delta_tsv,
       const IncrementalOptions& opts = {}, uint64_t* seq_out = nullptr,
@@ -196,18 +186,6 @@ class GraphStore final : public ServingStore {
   // validity rule: valid only at the exact sequence it was taken).
   RunningCount count_;
 };
-
-/// One serving step: appends `delta_tsv` to the store and returns the
-/// violation diff induced by exactly this batch, relative to the
-/// pre-append state. Computed without materializing: both the before- and
-/// after-overlay are diffed incrementally against the shared base and the
-/// two base-relative diffs composed ([added] = (A2\A1) u (R1\R2),
-/// [removed] symmetric). Cost grows with the overlay, which is precisely
-/// what the compaction policy bounds; call store.MaybeCompact() after.
-std::optional<IncrementalDiff> AppendAndDiff(
-    GraphStore& store, const ViolationEngine& engine,
-    std::string_view delta_tsv, const IncrementalOptions& opts = {},
-    uint64_t* seq_out = nullptr, std::string* error = nullptr);
 
 }  // namespace gfd
 

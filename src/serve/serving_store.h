@@ -7,11 +7,11 @@
 //   Coordinator  (serve/coordinator.h)  -- distributed: vertex-cut
 //                partitioned fragments behind the same verbs
 //
-// `gfdtool detect --log` / `gfdtool serve append` and the oracle tests
-// drive either backend through this interface, so the serving loop --
-// validate, append, diff, classify, maintain the running violation
-// count, compact -- exists exactly once; whether one store or N routed
-// fragments answer is a deployment choice, not a code path.
+// The serving loop -- append, diff, maintain the running violation
+// count, publish, compact -- is ServingSession (serve/serving_session.h),
+// written once against this interface: `gfdtool serve run`, `detect
+// --log --delta` and `serve append` all drive it, so whether one store
+// or N routed fragments answer is a deployment choice, not a code path.
 #ifndef GFD_SERVE_SERVING_STORE_H_
 #define GFD_SERVE_SERVING_STORE_H_
 
@@ -21,6 +21,7 @@
 #include <string_view>
 
 #include "detect/engine.h"
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 
 namespace gfd {
@@ -73,6 +74,10 @@ class ServingStore {
   /// Last applied batch sequence number (0 = none yet).
   virtual uint64_t last_seq() const = 0;
 
+  /// The live current graph as of last_seq(): a read-only view, valid
+  /// until the next mutating call (Append, Compact), that copies nothing.
+  virtual const GraphView& view() const = 0;
+
   /// Unified telemetry snapshot (see ServingMetricsSnapshot): both
   /// backends report recovery, compaction, and shipping state through
   /// this one path.
@@ -98,10 +103,10 @@ class ServingStore {
   /// Policy entry point: Compact() iff ShouldCompact().
   virtual bool MaybeCompact(std::string* error = nullptr) = 0;
 
-  /// The current graph as a standalone PropertyGraph. Node and
-  /// vocabulary ids are preserved across both backends, so results
-  /// computed over the materialization compare equal across them.
-  virtual PropertyGraph MaterializeCurrent() const = 0;
+  /// A standalone copy of view(). Node and vocabulary ids are preserved
+  /// across both backends, so results computed over the materialization
+  /// compare equal across them.
+  PropertyGraph MaterializeCurrent() const { return view().Materialize(); }
 };
 
 }  // namespace gfd

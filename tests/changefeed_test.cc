@@ -31,6 +31,7 @@
 #include "net/rate_limiter.h"
 #include "serve/changefeed.h"
 #include "serve/graph_store.h"
+#include "serve/serving_session.h"
 #include "util/rng.h"
 
 namespace gfd {
@@ -617,6 +618,7 @@ struct E2eServer {
   std::optional<GraphStore> store;
   std::unique_ptr<ViolationEngine> engine;
   std::unique_ptr<ViolationChangefeed> feed;
+  std::unique_ptr<ServingSession> session;
   std::unique_ptr<net::FeedService> service;
   std::unique_ptr<net::HttpServer> server;
   PropertyGraph base;
@@ -642,9 +644,9 @@ struct E2eServer {
     fopts.heartbeat_ms = 100;
     fopts.ingest_rate_per_sec = ingest_rps;
     fopts.ingest_burst = 1;
-    service = std::make_unique<net::FeedService>(*store, *engine, *feed,
-                                                 fopts);
-    service->Prime();
+    session = std::make_unique<ServingSession>(*store, *engine, feed.get());
+    session->Prime();
+    service = std::make_unique<net::FeedService>(*session, fopts);
     net::HttpServerOptions hopts;
     hopts.port = 0;  // ephemeral
     hopts.poll_interval_ms = 50;
@@ -732,6 +734,24 @@ TEST(FeedServiceE2e, IngestIsRateLimitedPerClient) {
   std::string metrics = Get(s.port(), "/metrics");
   EXPECT_NE(metrics.find("gfd_ingest_rate_limited_total 1"),
             std::string::npos);
+}
+
+// A batch that reaches the store without passing the feed leaves the feed
+// one seq behind; Publish would then reject every later batch. /ingest
+// must refuse (503) instead of committing batches no subscriber sees.
+TEST(FeedServiceE2e, IngestRefusesWhileTheFeedIsBehindTheStore) {
+  E2eServer s("e2e_feed_behind");
+  ASSERT_NE(s.server, nullptr);
+  std::string batch = s.ValidBatch();
+  ASSERT_TRUE(s.store->Append(batch).has_value());  // behind the back
+  ASSERT_EQ(s.store->last_seq(), 1u);
+  ASSERT_EQ(s.feed->last_seq(), 0u);
+
+  std::string refused = Post(s.port(), "/ingest", s.ValidBatch());
+  EXPECT_NE(refused.find("503"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("out of step"), std::string::npos) << refused;
+  EXPECT_EQ(s.store->last_seq(), 1u);  // nothing was logged
+  EXPECT_EQ(s.feed->last_seq(), 0u);
 }
 
 TEST(FeedServiceE2e, LiveSubscriberSeesBatchesAsTheyArrive) {

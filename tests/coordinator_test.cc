@@ -182,8 +182,13 @@ TEST(DetectIncrementalOwned, FragmentsPartitionTheFullDiff) {
     std::vector<Violation> added, removed;
     size_t owned_total = 0;
     for (uint32_t f = 0; f < n; ++f) {
+      // Seeds: the affected nodes fragment f owns; attribution sees all.
+      std::vector<NodeId> seeds;
+      for (NodeId v : view.AffectedNodes()) {
+        if (frag.partition.node_owner[v] == f) seeds.push_back(v);
+      }
       auto part =
-          engine.DetectIncrementalOwned(view, frag.partition.node_owner, f);
+          engine.DetectIncrementalOwned(view, seeds, view.AffectedNodes());
       owned_total += part.stats.affected_nodes;
       // Disjoint by attribution: plain merges reproduce the full diff.
       std::vector<Violation> merged;
@@ -471,7 +476,7 @@ TEST(Coordinator, TornFragmentLogCatchesUpAndNextDiffMatchesUninterrupted) {
   auto single = GraphStore::Open(ref_dir);
   ASSERT_TRUE(single.has_value());
   for (int b = 0; b < 2; ++b) {
-    ASSERT_TRUE(AppendAndDiff(*single, engine, payloads[b]).has_value());
+    ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
   }
 
   // Crash: tear the tail off fragment 1's log -- as a kill between write
@@ -507,7 +512,7 @@ TEST(Coordinator, TornFragmentLogCatchesUpAndNextDiffMatchesUninterrupted) {
   // The next batch: merged diff == uninterrupted single-node diff.
   uint64_t seq = 0;
   auto merged = reopened->AppendAndDiff(engine, payloads[2], {}, &seq);
-  auto ref = AppendAndDiff(*single, engine, payloads[2]);
+  auto ref = single->AppendAndDiff(engine, payloads[2]);
   ASSERT_TRUE(merged.has_value());
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(seq, 3u);
@@ -551,7 +556,7 @@ TEST(Coordinator, UnilateralFragmentCompactionIsReunifiedOnOpen) {
     ASSERT_TRUE(coord.has_value());
     for (int b = 0; b < 2; ++b) {
       ASSERT_TRUE(coord->AppendAndDiff(engine, payloads[b]).has_value());
-      ASSERT_TRUE(AppendAndDiff(*single, engine, payloads[b]).has_value());
+      ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
     }
   }
   {
@@ -571,7 +576,7 @@ TEST(Coordinator, UnilateralFragmentCompactionIsReunifiedOnOpen) {
         << "fragment " << f;
   }
   auto merged = reopened->AppendAndDiff(engine, payloads[2]);
-  auto ref = AppendAndDiff(*single, engine, payloads[2]);
+  auto ref = single->AppendAndDiff(engine, payloads[2]);
   ASSERT_TRUE(merged.has_value());
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(merged->added, ref->added);
@@ -659,7 +664,7 @@ TEST(Coordinator, TornRebalanceIsRepairedByFullResyncOnOpen) {
     ASSERT_TRUE(coord.has_value());
     for (int b = 0; b < 2; ++b) {
       ASSERT_TRUE(coord->AppendAndDiff(engine, payloads[b]).has_value());
-      ASSERT_TRUE(AppendAndDiff(*single, engine, payloads[b]).has_value());
+      ASSERT_TRUE(single->AppendAndDiff(engine, payloads[b]).has_value());
     }
   }
   // Simulate the crash window: bump owners_seq in the meta past every
@@ -686,7 +691,7 @@ TEST(Coordinator, TornRebalanceIsRepairedByFullResyncOnOpen) {
   ExpectFragmentsMatchResidentSubgraphs(*reopened);
 
   auto merged = reopened->AppendAndDiff(engine, payloads[2]);
-  auto ref = AppendAndDiff(*single, engine, payloads[2]);
+  auto ref = single->AppendAndDiff(engine, payloads[2]);
   ASSERT_TRUE(merged.has_value());
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(merged->added, ref->added);

@@ -513,7 +513,7 @@ TEST(GraphStore, AppendAndDiffMatchesTheMaterializedOracle) {
   for (const char* batch : stream) {
     PropertyGraph before = store->MaterializeCurrent();
     std::string error;
-    auto diff = AppendAndDiff(*store, engine, batch, {}, nullptr, &error);
+    auto diff = store->AppendAndDiff(engine, batch, {}, nullptr, &error);
     ASSERT_TRUE(diff.has_value()) << error;
     PropertyGraph after = store->MaterializeCurrent();
 
@@ -565,7 +565,7 @@ TEST(GraphStore, ViolationCountSurvivesRestartAndCompaction) {
       "E-\tMusician\tn2\tcreate\n",     // removes the first again
   };
   for (const char* batch : stream) {
-    auto diff = AppendAndDiff(*store, engine, batch);
+    auto diff = store->AppendAndDiff(engine, batch);
     ASSERT_TRUE(diff.has_value());
     // The append outdated the count until the diff is folded back in.
     EXPECT_FALSE(store->violation_count(fp).has_value());

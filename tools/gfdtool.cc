@@ -87,7 +87,6 @@
 #include "serve/changefeed.h"
 #include "detect/engine.h"
 #include "detect/metrics.h"
-#include "detect/planner.h"
 #include "gfd/serialize.h"
 #include "gfd/validation.h"
 #include "graph/loader.h"
@@ -100,8 +99,8 @@
 #include "serve/durable_io.h"
 #include "serve/graph_store.h"
 #include "serve/metrics.h"
+#include "serve/serving_session.h"
 #include "serve/serving_store.h"
-#include "util/hash.h"
 #include "util/timer.h"
 
 using namespace gfd;
@@ -378,16 +377,6 @@ std::optional<std::vector<Gfd>> LoadRules(const char* path,
   return rules;
 }
 
-// Fingerprint of a loaded rule set: the running violation count persisted
-// in store/coordinator meta is only meaningful under the rules it was
-// computed with, so it is keyed by this. Serialization is name-based,
-// hence stable across restarts and snapshot rolls.
-uint64_t RuleFingerprint(std::span<const Gfd> rules, const PropertyGraph& g) {
-  std::ostringstream os;
-  SaveGfds(rules, g, os);
-  return Fnv1a64(os.str());
-}
-
 // Writes `gfds` to `path`, or stdout when path is null.
 void EmitRules(std::span<const Gfd> gfds, const PropertyGraph& g,
                const char* path) {
@@ -566,15 +555,15 @@ std::optional<GraphStore> OpenStore(const char* dir,
   return store;
 }
 
-// Acknowledges a durable append on stderr and runs the compaction
-// policy, reporting a snapshot roll when it fires.
-bool AppendFollowUp(GraphStore& store, uint64_t seq) {
+// Acknowledges a durable append on stderr (`overlay_ops` as it stood
+// before the compaction policy ran) and reports that policy's outcome:
+// `compact_error` when it failed, else a snapshot roll when it fired.
+bool AppendFollowUp(const GraphStore& store, uint64_t seq, size_t overlay_ops,
+                    const std::string& compact_error) {
   std::fprintf(stderr, "appended batch seq %llu (%zu overlay ops)\n",
-               static_cast<unsigned long long>(seq),
-               store.overlay().ops.size());
-  std::string error;
-  if (!store.MaybeCompact(&error)) {
-    std::fprintf(stderr, "compaction failed: %s\n", error.c_str());
+               static_cast<unsigned long long>(seq), overlay_ops);
+  if (!compact_error.empty()) {
+    std::fprintf(stderr, "compaction failed: %s\n", compact_error.c_str());
     return false;
   }
   if (store.stats().compactions > 0) {
@@ -586,14 +575,12 @@ bool AppendFollowUp(GraphStore& store, uint64_t seq) {
 
 // Prints an incremental diff (+ added against `view`, - removed against
 // `removed_graph`, a PropertyGraph or GraphView holding the pre-update
-// state), classifies the post-update state, and returns the documented
-// exit code. With `post_count` (the running violation counter after the
-// batch) the verdict is read off the counter; otherwise it falls back to
-// the budget-1 existence probe.
+// state) and the post-update `verdict` -- read off the running counter
+// when `post_count` is given -- and returns the documented exit code.
 template <typename RemovedGraphT>
 int ReportDiff(const ViolationEngine& engine, const GraphView& view,
                const RemovedGraphT& removed_graph, const IncrementalDiff& diff,
-               double seconds, size_t workers,
+               double seconds, DeltaVerdict verdict,
                std::optional<uint64_t> post_count = std::nullopt) {
   for (const Violation& v : diff.added) {
     std::printf("+ %s\n", DescribeViolation(view, engine.rules(), v).c_str());
@@ -609,9 +596,6 @@ int ReportDiff(const ViolationEngine& engine, const GraphView& view,
                static_cast<unsigned long>(diff.stats.anchors_scanned),
                diff.stats.anchor_plans,
                static_cast<unsigned long>(diff.stats.matches_seen));
-  DeltaVerdict verdict =
-      post_count ? ClassifyDelta(diff, *post_count)
-                 : ClassifyDelta(engine, view, diff, workers);
   if (post_count) {
     std::fprintf(stderr, "verdict: %s (%llu violation(s) by counter)\n",
                  VerdictName(verdict),
@@ -622,79 +606,42 @@ int ReportDiff(const ViolationEngine& engine, const GraphView& view,
   return VerdictExit(verdict);
 }
 
-// The counter a serving step starts from: the persisted running count
-// when it is current, else one full (uncapped) startup scan that seeds
-// it. `view` must be the PRE-append state.
-uint64_t PreBatchCount(const ViolationEngine& engine, const GraphView& view,
-                       std::optional<uint64_t> persisted, size_t workers) {
-  if (persisted) return *persisted;
+// One serving step of `detect --log --delta` and `serve append`: the
+// batch goes through a ServingSession; +/- records print against the
+// live post-batch view and against `before`, the invocation's one
+// pre-batch copy. Returns nullopt when the batch was rejected.
+std::optional<ServedBatch> ServeBatch(ServingStore& store,
+                                      const ViolationEngine& engine,
+                                      const PropertyGraph& before,
+                                      const std::string& payload,
+                                      const char* payload_path,
+                                      size_t workers) {
+  ServingSession session(store, engine, nullptr, workers);
+  bool scanned = false;
   WallTimer t;
-  DetectOptions full;
-  full.workers = workers;
-  uint64_t count = engine.Detect(view, full).violations.size();
-  std::fprintf(stderr,
-               "seeded violation counter with a full scan: %llu "
-               "violation(s) in %.3fs\n",
-               static_cast<unsigned long long>(count), t.Seconds());
-  return count;
-}
-
-// One serving step, driven entirely through the ServingStore interface:
-// read/seed the running counter, durably append the batch with its
-// per-batch diff, print +/- records, persist the updated counter, and
-// return the documented verdict exit code (nullopt when the append was
-// rejected). `detect --log --delta` (single GraphStore) and `serve
-// append` (coordinator over vertex-cut fragments) both come through
-// here -- the serving loop exists exactly once.
-std::optional<int> ServeBatch(ServingStore& store,
-                              const ViolationEngine& engine,
-                              const std::string& payload,
-                              const char* payload_path, size_t workers,
-                              uint64_t* seq_out = nullptr) {
-  // Reporting works off materialized pre/post states (ids preserved by
-  // both backends), so it stays valid across any later compaction.
-  PropertyGraph before = store.MaterializeCurrent();
-  GraphDelta no_delta;
-  auto before_view = GraphView::Apply(before, no_delta);
-  uint64_t fp = RuleFingerprint(engine.rules(), before);
-  uint64_t pre_count =
-      PreBatchCount(engine, *before_view, store.violation_count(fp), workers);
-  // One-shot planner (each CLI invocation is a fresh process, so the
-  // seeded crossover rule decides): large batches take the full-redetect
-  // path instead of paying the known incremental slowdown.
-  DetectPlanner planner;
-  IncrementalOptions iopts;
-  iopts.workers = workers;
-  iopts.planner = &planner;
-  std::string error;
-  uint64_t seq = 0;
-  WallTimer t;
-  auto diff = store.AppendAndDiff(engine, payload, iopts, &seq, &error);
-  if (!diff) {
+  // A failure to persist the seeded count recurs, and is reported, when
+  // the post-batch count is persisted.
+  uint64_t count = session.Prime(&scanned);
+  if (scanned) {
+    std::fprintf(stderr,
+                 "seeded violation counter with a full scan: %llu "
+                 "violation(s) in %.3fs\n",
+                 static_cast<unsigned long long>(count), t.Seconds());
+  }
+  ServedBatch b = session.Serve(payload);
+  if (b.status != ServeStatus::kServed) {
     std::fprintf(stderr, "error appending %s\n",
-                 FileLineError(payload_path, error).c_str());
+                 FileLineError(payload_path, b.error).c_str());
     return std::nullopt;
   }
-  double seconds = t.Seconds();
-  // A full-path diff re-seeds the counter from its authoritative
-  // post-state count; composing would be computing it on the wrong path.
-  uint64_t post_count =
-      diff->used_full_path
-          ? diff->full_post_count
-          : pre_count + diff->added.size() - diff->removed.size();
-  if (!store.SetViolationCount(post_count, fp, &error)) {
+  if (!b.count_error.empty()) {
     std::fprintf(stderr, "warning: could not persist counter: %s\n",
-                 error.c_str());
+                 b.count_error.c_str());
   }
-  PropertyGraph after = store.MaterializeCurrent();
-  auto after_view = GraphView::Apply(after, no_delta);
-  int code = ReportDiff(engine, *after_view, before, *diff, seconds, workers,
-                        post_count);
-  // Refresh the snapshot gauges so a metrics export reflects the
-  // post-batch sequence and overlay state.
+  ReportDiff(engine, store.view(), before, b.diff, b.diff_seconds, b.verdict,
+             b.count);
   ExportSnapshotMetrics(store.MetricsSnapshot());
-  if (seq_out) *seq_out = seq;
-  return code;
+  return b;
 }
 
 int Detect(int argc, char** argv) {
@@ -767,17 +714,18 @@ int Detect(int argc, char** argv) {
     }
     if (log_dir) {
       // Serving step: durably append the batch, then diff exactly it --
-      // the same ServingStore-driven loop `serve append` runs over the
+      // the same ServingSession loop `serve append` runs over the
       // coordinator backend.
       auto payload = ReadFile(delta_path);
       if (!payload) return 1;
-      uint64_t seq = 0;
-      auto code =
-          ServeBatch(*store, engine, *payload, delta_path, opts.workers, &seq);
-      if (!code) return 1;
-      if (!AppendFollowUp(*store, seq)) return 1;
-      ExportSnapshotMetrics(store->MetricsSnapshot());
-      return *code;
+      PropertyGraph before = store->MaterializeCurrent();
+      auto b = ServeBatch(*store, engine, before, *payload, delta_path,
+                          opts.workers);
+      if (!b) return 1;
+      if (!AppendFollowUp(*store, b->seq, b->overlay_ops, b->compact_error)) {
+        return 1;
+      }
+      return VerdictExit(b->verdict);
     }
     std::string error;
     auto delta = LoadGraphDeltaTsvFile(delta_path, *g, &error);
@@ -805,7 +753,8 @@ int Detect(int argc, char** argv) {
                  diff.stats.affected_nodes);
     // Added violations render against the view (post-update values),
     // removed ones against the base graph they existed in.
-    return ReportDiff(engine, *view, *g, diff, seconds, opts.workers);
+    return ReportDiff(engine, *view, *g, diff, seconds,
+                      ClassifyDelta(engine, *view, diff, opts.workers));
   }
 
   WallTimer t;
@@ -846,9 +795,9 @@ int Detect(int argc, char** argv) {
   // A complete scan over a store doubles as the counter's seed: later
   // detect --log --delta runs read their verdicts off it scan-free.
   if (log_dir && !result.stats.truncated) {
-    uint64_t fp = RuleFingerprint(engine.rules(), store->base());
     std::string error;
-    if (!store->SetViolationCount(result.violations.size(), fp, &error)) {
+    ServingSession session(*store, engine, nullptr, opts.workers);
+    if (!session.Seed(result.violations.size(), &error)) {
       std::fprintf(stderr, "warning: could not persist counter: %s\n",
                    error.c_str());
     }
@@ -894,7 +843,10 @@ int Log(int argc, char** argv) {
                    FileLineError(argv[2], error).c_str());
       return 1;
     }
-    return AppendFollowUp(*store, *seq) ? 0 : 1;
+    size_t overlay_ops = store->overlay().ops.size();
+    std::string compact_error;
+    store->MaybeCompact(&compact_error);
+    return AppendFollowUp(*store, *seq, overlay_ops, compact_error) ? 0 : 1;
   }
 
   if (!std::strcmp(verb, "replay")) {
@@ -1037,16 +989,21 @@ int ServeRun(int argc, char** argv) {
                  "subscribers will see a sequence gap\n");
   }
 
+  ServingSession session(*serving, engine, feed.get(), workers);
+  bool scanned = false;
+  std::string persist_error;
+  uint64_t count = session.Prime(&scanned, &persist_error);
+  if (!persist_error.empty()) {
+    std::fprintf(stderr, "warning: could not persist counter: %s\n",
+                 persist_error.c_str());
+  }
   net::FeedServiceOptions fopts;
-  fopts.detect_workers = workers;
   fopts.subscriber_queue_cap = queue_cap;
   fopts.heartbeat_ms = static_cast<int64_t>(heartbeat_ms);
   fopts.ingest_rate_per_sec = static_cast<double>(ingest_rps);
   fopts.ingest_burst = static_cast<double>(ingest_burst);
   fopts.backend = backend;
-  net::FeedService service(*serving, engine, *feed, fopts);
-  bool scanned = false;
-  uint64_t count = service.Prime(&scanned);
+  net::FeedService service(session, fopts);
   std::fprintf(stderr, "violation counter: %llu (%s)\n",
                static_cast<unsigned long long>(count),
                scanned ? "seeded by full scan" : "persisted");
@@ -1211,15 +1168,16 @@ int Serve(int argc, char** argv) {
                    d->ops.size(), route.affected_fragments.size());
     }
 
+    // stats().compactions is cumulative (an open-time anchor re-unify
+    // counts too); only a delta means THIS batch triggered a roll.
     CoordinatorStats pre = coord->stats();
-    uint64_t seq = 0;
-    auto code = ServeBatch(*coord, engine, *payload, argv[3], workers, &seq);
-    if (!code) return 1;
+    auto b = ServeBatch(*coord, engine, current, *payload, argv[3], workers);
+    if (!b) return 1;
     CoordinatorStats post = coord->stats();
     std::fprintf(stderr,
                  "batch seq %llu: %llu byte(s) shipped across %zu "
                  "fragment(s) (%llu owned-op, %llu border-halo)\n",
-                 static_cast<unsigned long long>(seq),
+                 static_cast<unsigned long long>(b->seq),
                  static_cast<unsigned long long>(post.bytes_shipped -
                                                  pre.bytes_shipped),
                  coord->num_fragments(),
@@ -1227,21 +1185,16 @@ int Serve(int argc, char** argv) {
                                                  pre.bytes_owned_shipped),
                  static_cast<unsigned long long>(post.bytes_halo_shipped -
                                                  pre.bytes_halo_shipped));
-
-    // stats().compactions is cumulative (an open-time anchor re-unify
-    // counts too); only a delta means THIS batch triggered a roll.
-    size_t compactions_before = coord->stats().compactions;
-    std::string error;
-    if (!coord->MaybeCompactAll(&error)) {
-      std::fprintf(stderr, "compaction failed: %s\n", error.c_str());
+    if (!b->compact_error.empty()) {
+      std::fprintf(stderr, "compaction failed: %s\n",
+                   b->compact_error.c_str());
       return 1;
     }
-    if (coord->stats().compactions > compactions_before) {
+    if (post.compactions > pre.compactions) {
       std::fprintf(stderr, "compacted: all fragments rolled to seq %llu\n",
-                   static_cast<unsigned long long>(coord->stats().anchor_seq));
+                   static_cast<unsigned long long>(post.anchor_seq));
     }
-    ExportSnapshotMetrics(coord->MetricsSnapshot());
-    return *code;
+    return VerdictExit(b->verdict);
   }
 
   return Usage();
